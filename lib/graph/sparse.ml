@@ -82,6 +82,51 @@ let of_graph g =
     slot := Some (g, Graph.version g, csr);
     csr
 
+module View = struct
+  type view = {
+    nodes : int;
+    edges : int;
+    row_start : int array;
+    col : int array;
+    eid : int array;
+    weight : float array;
+  }
+
+  let create (csr : t) =
+    let half = 2 * csr.edges in
+    {
+      nodes = csr.nodes;
+      edges = csr.edges;
+      row_start = Array.make (csr.nodes + 1) 0;
+      col = Array.make half 0;
+      eid = Array.make half 0;
+      weight = Array.make half 0.0;
+    }
+
+  (* One pass over the full CSR in row order, copying the half-edges of
+     kept edges: each row keeps its ascending edge-id order. *)
+  let restrict view (csr : t) ~keep =
+    if view.nodes <> csr.nodes || view.edges <> csr.edges then
+      invalid_arg "Sparse.View.restrict: view sized for another graph";
+    if Bytes.length keep <> csr.edges then
+      invalid_arg "Sparse.View.restrict: mask length <> edge count";
+    let out = ref 0 in
+    for u = 0 to csr.nodes - 1 do
+      view.row_start.(u) <- !out;
+      for k = csr.row_start.{u} to csr.row_start.{u + 1} - 1 do
+        let id = csr.eid.{k} in
+        if Bytes.unsafe_get keep id <> '\000' then begin
+          let o = !out in
+          view.col.(o) <- csr.col.{k};
+          view.eid.(o) <- id;
+          view.weight.(o) <- csr.weight.{k};
+          out := o + 1
+        end
+      done
+    done;
+    view.row_start.(csr.nodes) <- !out
+end
+
 module Buf = struct
   type buf = { residual : float_slab; usage : float_slab }
 
@@ -98,5 +143,9 @@ module Buf = struct
     Bigarray.Array1.fill buf.usage 0.0
 
   let usage_to_array buf =
-    Array.init (Bigarray.Array1.dim buf.usage) (fun i -> buf.usage.{i})
+    let a = Array.create_float (Bigarray.Array1.dim buf.usage) in
+    for i = 0 to Array.length a - 1 do
+      a.(i) <- buf.usage.{i}
+    done;
+    a
 end

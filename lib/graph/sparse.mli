@@ -13,8 +13,11 @@
       ascending edge-insertion order — exactly the order
       {!Graph.neighbors} yields — so algorithms moved onto the CSR
       produce bit-identical results.
-    - {!Buf}, reusable [float64] flow buffers (residual / usage /
-      capacity) sized by edge count.
+    - {!View}, a restricted CSR over plain [int]/[float] arrays that
+      keeps only the half-edges of a chosen edge subset (the router's
+      enabled links), in the same per-node order.
+    - {!Buf}, reusable [float64] flow buffers (residual / usage) sized
+      by edge count.
 
     Memory, for a graph with [V] nodes and [E] undirected edges
     (8-byte elements): CSR ≈ 8·(V+1) + 3·16·E + 8·E bytes ≈ 56·E for
@@ -61,7 +64,37 @@ val of_graph : Graph.t -> t
     O(1).  Safe to call concurrently from pool workers — each domain
     keeps its own compiled copy, so there is no shared mutable state. *)
 
-(** Reusable per-edge flow state for routing algorithms: three [float64]
+(** A restricted CSR: the half-edges of a subset of the edges, chosen
+    by a byte mask over edge ids.  Each node's kept half-edges stay in
+    the full CSR's order (ascending edge id), so a search over the view
+    visits them in the order a search over the full CSR that skipped the
+    other edges would.  Storage is plain OCaml arrays sized once for the
+    whole graph (≈ 8·(V+1) + 3·16·E bytes) and refilled by {!restrict},
+    so one view per domain serves every solve on that graph. *)
+module View : sig
+  type view = private {
+    nodes : int;            (** node count of the graph it was sized for *)
+    edges : int;            (** edge count of the graph it was sized for *)
+    row_start : int array;  (** length [nodes + 1]; node [u]'s kept
+                                half-edges live at indices
+                                [row_start.(u) .. row_start.(u+1) - 1] *)
+    col : int array;        (** neighbor node per kept half-edge *)
+    eid : int array;        (** edge id per kept half-edge *)
+    weight : float array;   (** edge weight per kept half-edge *)
+  }
+
+  val create : t -> view
+  (** [create csr] allocates a view with room for every half-edge of
+      [csr]; it holds no half-edges until {!restrict} fills it. *)
+
+  val restrict : view -> t -> keep:Bytes.t -> unit
+  (** [restrict view csr ~keep] refills [view] with the half-edges of
+      [csr] whose edge id [id] has [Bytes.get keep id <> '\000'].
+      O(V+E).  Raises [Invalid_argument] when [view] was sized for a
+      graph of another shape or [keep] is not [csr.edges] long. *)
+end
+
+(** Reusable per-edge flow state for routing algorithms: two [float64]
     slabs indexed by edge id. *)
 module Buf : sig
   type buf = { residual : float_slab; usage : float_slab }

@@ -1,6 +1,6 @@
 module Graph = Poc_graph.Graph
 module Sparse = Poc_graph.Sparse
-module Heap = Poc_graph.Heap
+module Residual = Poc_graph.Residual
 module Metrics = Poc_obs.Metrics
 
 (* Router work counters: every full solve, every shortest-path search
@@ -57,57 +57,74 @@ let validate_demand n (a, b, d) =
   if a = b then invalid_arg "Router: self demand";
   if d < 0.0 || not (Float.is_finite d) then invalid_arg "Router: bad demand"
 
-(* Congestion-aware Dijkstra on the residual graph: returns the edge-id
-   path or None.  Weight of an edge is latency * (1 + alpha * u) where
-   u is current utilization, which spreads load before links saturate.
-   Runs over the compiled CSR; disabled edges carry zero residual, so
-   the residual gate excludes them without a per-visit predicate call,
-   and CSR neighbor order matches the list order the previous
-   implementation used, keeping path choices bit-identical. *)
-let residual_dijkstra ~(csr : Sparse.t) ~(buf : Sparse.Buf.buf) ~alpha n src
-    dst =
-  Metrics.Counter.inc m_dijkstra;
-  let row = csr.Sparse.row_start in
-  let col = csr.Sparse.col in
-  let eids = csr.Sparse.eid in
-  let lat = csr.Sparse.weight in
-  let cap = csr.Sparse.capacity in
-  let residual = buf.Sparse.Buf.residual in
-  let usage = buf.Sparse.Buf.usage in
-  let dist = Array.make n infinity in
-  let pred = Array.make n (-1) in
-  let settled = Array.make n false in
-  let heap = Heap.create () in
-  dist.(src) <- 0.0;
-  Heap.push heap 0.0 src;
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (_, u) when settled.(dst) -> ignore u
-    | Some (d, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        let stop = row.{u + 1} in
-        for k = row.{u} to stop - 1 do
-          let v = col.{k} in
-          let eid = eids.{k} in
-          if (not settled.(v)) && residual.{eid} > eps then begin
-            let c = cap.{eid} in
-            let util = if c > 0.0 then usage.{eid} /. c else 0.0 in
-            let w = lat.{k} *. (1.0 +. (alpha *. util)) in
-            let nd = d +. w in
-            if nd < dist.(v) then begin
-              dist.(v) <- nd;
-              pred.(v) <- eid;
-              Heap.push heap nd v
-            end
-          end
-        done
-      end;
-      loop ()
+(* Per-domain solve scratch.  Every [route] and [reroute_core] compiles
+   the edges its searches may use into [view] (the enabled edges, minus
+   a failed one), keeps its residual/usage state in [buf] and runs each
+   Dijkstra on [search]; all of it is sized to the graph once and reused
+   by every later solve on a graph of that shape in the same domain, so
+   a search allocates nothing and a solve little beyond its result.
+
+   Solves never nest within a domain: the only caller code a solve runs
+   is [enabled], and no caller routes from inside it.  Should one ever
+   do so, [busy] makes the nested solve take a private scratch instead
+   of clobbering the outer one.  Within a solve each search's [pred] is
+   turned into a path before the next search starts. *)
+type scratch = {
+  keep : Bytes.t;
+  view : Sparse.View.view;
+  buf : Sparse.Buf.buf;
+  search : Residual.t;
+  mutable busy : bool;
+}
+
+let scratch_create (csr : Sparse.t) =
+  {
+    keep = Bytes.make csr.Sparse.edges '\000';
+    view = Sparse.View.create csr;
+    buf = Sparse.Buf.create csr.Sparse.edges;
+    search = Residual.create csr.Sparse.nodes;
+    busy = false;
+  }
+
+let scratch_key : scratch option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let with_scratch (csr : Sparse.t) f =
+  let slot = Domain.DLS.get scratch_key in
+  let s =
+    match !slot with
+    | Some s when s.busy -> scratch_create csr
+    | Some s
+      when s.view.Sparse.View.nodes = csr.Sparse.nodes
+           && s.view.Sparse.View.edges = csr.Sparse.edges ->
+      s
+    | Some _ | None ->
+      let s = scratch_create csr in
+      slot := Some s;
+      s
   in
-  loop ();
-  if dist.(dst) = infinity then None else Some pred
+  s.busy <- true;
+  match f s with
+  | r ->
+    s.busy <- false;
+    r
+  | exception e ->
+    s.busy <- false;
+    raise e
+
+let set_keep s id on = Bytes.set s.keep id (if on then '\001' else '\000')
+
+(* Congestion-aware Dijkstra on the residual graph (see
+   {!Residual.search}): weight of an edge is latency * (1 + alpha * u)
+   where u is current utilization, which spreads load before links
+   saturate.  It walks the solve's view, which holds exactly the
+   half-edges that can pass the residual gate during the solve, in CSR
+   order, so path choices match a scan of the full CSR bit for bit. *)
+let residual_dijkstra ~(csr : Sparse.t) s ~alpha src dst =
+  Metrics.Counter.inc m_dijkstra;
+  Residual.search s.search s.view ~capacity:csr.Sparse.capacity
+    ~residual:s.buf.Sparse.Buf.residual ~usage:s.buf.Sparse.Buf.usage ~alpha
+    ~eps src dst
 
 let path_from_pred g pred src dst =
   let rec walk node acc =
@@ -122,36 +139,33 @@ let path_from_pred g pred src dst =
 
 (* Route one demand (possibly splitting) on the residual state.
    Returns the list of chunks created and the unrouted remainder. *)
-let route_one g ~csr ~(buf : Sparse.Buf.buf) ~alpha (src, dst, gbps) =
-  let n = Graph.node_count g in
-  let residual = buf.Sparse.Buf.residual in
-  let usage = buf.Sparse.Buf.usage in
+let route_one g ~csr s ~alpha (src, dst, gbps) =
+  let residual = s.buf.Sparse.Buf.residual in
+  let usage = s.buf.Sparse.Buf.usage in
   let chunks = ref [] in
   let rec go remaining attempts =
     if remaining <= eps then 0.0
     else if attempts >= max_paths_per_demand then remaining
+    else if not (residual_dijkstra ~csr s ~alpha src dst) then remaining
     else begin
-      match residual_dijkstra ~csr ~buf ~alpha n src dst with
-      | None -> remaining
-      | Some pred ->
-        let path = path_from_pred g pred src dst in
-        let bottleneck =
-          List.fold_left
-            (fun acc eid -> Float.min acc residual.{eid})
-            infinity path
-        in
-        if bottleneck <= eps then remaining
-        else begin
-          let send = Float.min remaining bottleneck in
-          List.iter
-            (fun eid ->
-              residual.{eid} <- residual.{eid} -. send;
-              usage.{eid} <- usage.{eid} +. send)
-            path;
-          Metrics.Counter.inc m_paths;
-          chunks := { src; dst; gbps = send; edge_ids = path } :: !chunks;
-          go (remaining -. send) (attempts + 1)
-        end
+      let path = path_from_pred g (Residual.pred s.search) src dst in
+      let bottleneck =
+        List.fold_left
+          (fun acc eid -> Float.min acc residual.{eid})
+          infinity path
+      in
+      if bottleneck <= eps then remaining
+      else begin
+        let send = Float.min remaining bottleneck in
+        List.iter
+          (fun eid ->
+            residual.{eid} <- residual.{eid} -. send;
+            usage.{eid} <- usage.{eid} +. send)
+          path;
+        Metrics.Counter.inc m_paths;
+        chunks := { src; dst; gbps = send; edge_ids = path } :: !chunks;
+        go (remaining -. send) (attempts + 1)
+      end
     end
   in
   let leftover = go gbps 0 in
@@ -163,35 +177,46 @@ let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
   List.iter (validate_demand n) demands;
   let m = Graph.edge_count g in
   let csr = Sparse.of_graph g in
-  let buf = Sparse.Buf.create m in
-  let enabled_capacity = ref 0.0 in
-  for id = 0 to m - 1 do
-    if enabled id then begin
-      let c = csr.Sparse.capacity.{id} in
-      buf.Sparse.Buf.residual.{id} <- c;
-      enabled_capacity := !enabled_capacity +. c
-    end
-  done;
-  let sorted =
-    List.sort (fun (_, _, a) (_, _, b) -> compare b a) demands
-  in
-  let all_chunks = ref [] in
-  let unrouted = ref [] in
-  List.iter
-    (fun ((src, dst, _) as demand) ->
-      let chunks, leftover =
-        route_one g ~csr ~buf ~alpha:congestion_alpha demand
+  with_scratch csr (fun s ->
+      let residual = s.buf.Sparse.Buf.residual in
+      let usage = s.buf.Sparse.Buf.usage in
+      let enabled_capacity = ref 0.0 in
+      for id = 0 to m - 1 do
+        usage.{id} <- 0.0;
+        if enabled id then begin
+          set_keep s id true;
+          let c = csr.Sparse.capacity.{id} in
+          residual.{id} <- c;
+          enabled_capacity := !enabled_capacity +. c
+        end
+        else begin
+          set_keep s id false;
+          residual.{id} <- 0.0
+        end
+      done;
+      (* A disabled edge starts at zero residual and a full solve only
+         ever lowers residuals, so it could never pass the gate. *)
+      Sparse.View.restrict s.view csr ~keep:s.keep;
+      let sorted =
+        List.sort (fun (_, _, a) (_, _, b) -> compare b a) demands
       in
-      all_chunks := List.rev_append chunks !all_chunks;
-      if leftover > eps then unrouted := (src, dst, leftover) :: !unrouted)
-    sorted;
-  {
-    feasible = !unrouted = [];
-    chunks = Array.of_list (List.rev !all_chunks);
-    unrouted = List.rev !unrouted;
-    usage = Sparse.Buf.usage_to_array buf;
-    enabled_capacity = !enabled_capacity;
-  }
+      let all_chunks = ref [] in
+      let unrouted = ref [] in
+      List.iter
+        (fun ((src, dst, _) as demand) ->
+          let chunks, leftover =
+            route_one g ~csr s ~alpha:congestion_alpha demand
+          in
+          all_chunks := List.rev_append chunks !all_chunks;
+          if leftover > eps then unrouted := (src, dst, leftover) :: !unrouted)
+        sorted;
+      {
+        feasible = !unrouted = [];
+        chunks = Array.of_list (List.rev !all_chunks);
+        unrouted = List.rev !unrouted;
+        usage = Sparse.Buf.usage_to_array s.buf;
+        enabled_capacity = !enabled_capacity;
+      })
 
 let max_utilization g r =
   Graph.fold_edges
@@ -208,9 +233,13 @@ let used_edges r =
   Array.iteri (fun eid u -> if u > eps then Hashtbl.replace tbl eid ()) r.usage;
   Hashtbl.fold (fun eid () acc -> eid :: acc) tbl [] |> List.sort compare
 
-(* Shared core: the compiled CSR covers the whole graph; the failed
-   edge and disabled edges are excluded by leaving their residual at
-   zero, which the path search respects. *)
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: rest -> y = x || mem_int x rest
+
+(* Shared core: the solve's view holds the enabled edges minus the
+   failed one, whose residuals start at capacity minus base usage; the
+   failed edge and disabled edges stay at zero residual. *)
 let reroute_core ~csr ?(enabled = fun _ -> true) g ~base ~failed_edge =
   Metrics.Counter.inc m_reroutes;
   let failed_capacity = (Graph.edge g failed_edge).capacity in
@@ -219,60 +248,73 @@ let reroute_core ~csr ?(enabled = fun _ -> true) g ~base ~failed_edge =
        it; only the available capacity shrinks. *)
     Some
       { base with enabled_capacity = base.enabled_capacity -. failed_capacity }
-  else begin
-    let m = Graph.edge_count g in
-    let buf = Sparse.Buf.create m in
-    let residual = buf.Sparse.Buf.residual in
-    let usage = buf.Sparse.Buf.usage in
-    for id = 0 to m - 1 do
-      if enabled id && id <> failed_edge then begin
-        residual.{id} <- (csr : Sparse.t).Sparse.capacity.{id} -. base.usage.(id);
-        usage.{id} <- base.usage.(id)
-      end
-    done;
-    (* Give back the capacity held by chunks that crossed the failed
-       edge, and collect their demand for re-routing. *)
-    let affected = Hashtbl.create 16 in
-    let kept = ref [] in
-    Array.iter
-      (fun c ->
-        if List.mem failed_edge c.edge_ids then begin
-          List.iter
-            (fun eid ->
-              if eid <> failed_edge then begin
-                residual.{eid} <- residual.{eid} +. c.gbps;
-                usage.{eid} <- usage.{eid} -. c.gbps
-              end)
-            c.edge_ids;
-          let key = (c.src, c.dst) in
-          let prev = Option.value ~default:0.0 (Hashtbl.find_opt affected key) in
-          Hashtbl.replace affected key (prev +. c.gbps)
-        end
-        else kept := c :: !kept)
-      base.chunks;
-    let new_chunks = ref [] in
-    let ok = ref true in
-    Hashtbl.iter
-      (fun (src, dst) gbps ->
-        if !ok then begin
-          let chunks, leftover =
-            route_one g ~csr ~buf ~alpha:1.0 (src, dst, gbps)
-          in
-          new_chunks := List.rev_append chunks !new_chunks;
-          if leftover > eps then ok := false
-        end)
-      affected;
-    if not !ok then None
-    else
-      Some
-        {
-          feasible = true;
-          chunks = Array.of_list (List.rev_append !kept !new_chunks);
-          unrouted = [];
-          usage = Sparse.Buf.usage_to_array buf;
-          enabled_capacity = base.enabled_capacity -. failed_capacity;
-        }
-  end
+  else
+    with_scratch csr (fun s ->
+        let m = Graph.edge_count g in
+        let residual = s.buf.Sparse.Buf.residual in
+        let usage = s.buf.Sparse.Buf.usage in
+        for id = 0 to m - 1 do
+          if enabled id && id <> failed_edge then begin
+            set_keep s id true;
+            residual.{id} <-
+              (csr : Sparse.t).Sparse.capacity.{id} -. base.usage.(id);
+            usage.{id} <- base.usage.(id)
+          end
+          else begin
+            set_keep s id false;
+            residual.{id} <- 0.0;
+            usage.{id} <- 0.0
+          end
+        done;
+        (* Give back the capacity held by chunks that crossed the failed
+           edge, and collect their demand for re-routing.  Edges given
+           capacity back join the view: they are enabled already when
+           [base] was routed over [enabled], and otherwise a scan of
+           the full CSR would see their new residual too. *)
+        let affected = Hashtbl.create 16 in
+        let kept = ref [] in
+        Array.iter
+          (fun c ->
+            if mem_int failed_edge c.edge_ids then begin
+              List.iter
+                (fun eid ->
+                  if eid <> failed_edge then begin
+                    residual.{eid} <- residual.{eid} +. c.gbps;
+                    usage.{eid} <- usage.{eid} -. c.gbps;
+                    set_keep s eid true
+                  end)
+                c.edge_ids;
+              let key = (c.src, c.dst) in
+              let prev =
+                Option.value ~default:0.0 (Hashtbl.find_opt affected key)
+              in
+              Hashtbl.replace affected key (prev +. c.gbps)
+            end
+            else kept := c :: !kept)
+          base.chunks;
+        Sparse.View.restrict s.view csr ~keep:s.keep;
+        let new_chunks = ref [] in
+        let ok = ref true in
+        Hashtbl.iter
+          (fun (src, dst) gbps ->
+            if !ok then begin
+              let chunks, leftover =
+                route_one g ~csr s ~alpha:1.0 (src, dst, gbps)
+              in
+              new_chunks := List.rev_append chunks !new_chunks;
+              if leftover > eps then ok := false
+            end)
+          affected;
+        if not !ok then None
+        else
+          Some
+            {
+              feasible = true;
+              chunks = Array.of_list (List.rev_append !kept !new_chunks);
+              unrouted = [];
+              usage = Sparse.Buf.usage_to_array s.buf;
+              enabled_capacity = base.enabled_capacity -. failed_capacity;
+            })
 
 let reroute_without_edge ?(enabled = fun _ -> true) g ~base ~failed_edge =
   let csr = Sparse.of_graph g in

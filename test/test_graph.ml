@@ -6,6 +6,7 @@ module Heap = Poc_graph.Heap
 module Paths = Poc_graph.Paths
 module Flow = Poc_graph.Flow
 module Sparse = Poc_graph.Sparse
+module Residual = Poc_graph.Residual
 module Prng = Poc_util.Prng
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -103,6 +104,73 @@ let qcheck_heap_property =
         | Some (k, ()) -> k >= prev && drain k
       in
       drain neg_infinity)
+
+(* The router's monomorphic heap must pop exactly what [Heap] pops,
+   ties included: keys come from a handful of values and every value is
+   distinct, so any difference in tie order shows. *)
+let qcheck_int_heap_matches_heap =
+  QCheck.Test.make ~name:"Residual.Heap pops the same sequence as Heap"
+    ~count:300
+    QCheck.(list (pair bool (int_range 0 4)))
+    (fun ops ->
+      let reference = Heap.create () in
+      let h = Residual.Heap.create 0 in
+      let pop_both () =
+        match Heap.pop reference with
+        | None -> Residual.Heap.is_empty h
+        | Some (k, v) ->
+          let k' = Residual.Heap.min_key h in
+          let v' = Residual.Heap.pop h in
+          Int64.equal (Int64.bits_of_float k) (Int64.bits_of_float k')
+          && v = v'
+      in
+      let ok = ref true in
+      List.iteri
+        (fun i (push, k) ->
+          if push || Residual.Heap.is_empty h then begin
+            Heap.push reference (float_of_int k /. 2.0) i;
+            Residual.Heap.push h (float_of_int k /. 2.0) i
+          end
+          else begin
+            let same = pop_both () in
+            ok := !ok && same
+          end;
+          ok := !ok && Heap.size reference = Residual.Heap.size h)
+        ops;
+      while not (Heap.is_empty reference) do
+        let same = pop_both () in
+        ok := !ok && same
+      done;
+      !ok && Residual.Heap.is_empty h)
+
+(* The router runs this search hundreds of thousands of times per
+   auction; once its scratch is warm it must not allocate. *)
+let test_residual_search_allocates_nothing () =
+  let g = random_graph 80 ~nodes:12 ~edges:30 in
+  let csr = Sparse.of_graph g in
+  let m = csr.Sparse.edges in
+  let view = Sparse.View.create csr in
+  Sparse.View.restrict view csr ~keep:(Bytes.make m '\001');
+  let buf = Sparse.Buf.create m in
+  for id = 0 to m - 1 do
+    buf.Sparse.Buf.residual.{id} <- 5.0;
+    buf.Sparse.Buf.usage.{id} <- float_of_int (id mod 4)
+  done;
+  let t = Residual.create csr.Sparse.nodes in
+  let search src dst =
+    Residual.search t view ~capacity:csr.Sparse.capacity
+      ~residual:buf.Sparse.Buf.residual ~usage:buf.Sparse.Buf.usage
+      ~alpha:1.0 ~eps:1e-6 src dst
+  in
+  Alcotest.(check bool) "connected" true (search 0 11);
+  let before = Gc.minor_words () in
+  for i = 0 to 999 do
+    ignore (search (i mod 12) ((i + 5) mod 12))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "1000 searches allocate %.0f words" words)
+    true (words < 100.0)
 
 (* --- Shortest paths ------------------------------------------------------ *)
 
@@ -308,6 +376,49 @@ let test_sparse_memoized_and_invalidated () =
   Alcotest.(check int) "rebuilt view sees the new edge"
     (Graph.edge_count g) c.Sparse.edges
 
+(* The restricted view keeps, per node, exactly the full CSR's kept
+   half-edges in the full CSR's order, parallel edges included; a
+   second restrict into the same view forgets the first mask. *)
+let test_sparse_view_keeps_order () =
+  let g = random_graph 79 ~nodes:7 ~edges:14 in
+  ignore (Graph.add_edge g 0 1 ~weight:1.5 ~capacity:2.0);
+  ignore (Graph.add_edge g 0 1 ~weight:0.5 ~capacity:0.0);
+  let csr = Sparse.of_graph g in
+  let m = csr.Sparse.edges in
+  let view = Sparse.View.create csr in
+  let row_of_view u =
+    let v = view.Sparse.View.row_start in
+    List.init
+      (v.(u + 1) - v.(u))
+      (fun i ->
+        let k = v.(u) + i in
+        ( view.Sparse.View.col.(k),
+          view.Sparse.View.eid.(k),
+          view.Sparse.View.weight.(k) ))
+  in
+  List.iter
+    (fun kept ->
+      let keep = Bytes.init m (fun id -> if kept id then '\001' else '\000') in
+      Sparse.View.restrict view csr ~keep;
+      let total = ref 0 in
+      for u = 0 to csr.Sparse.nodes - 1 do
+        let expected =
+          List.filter_map
+            (fun (v, (e : Graph.edge)) ->
+              if kept e.Graph.id then Some (v, e.Graph.id, e.Graph.weight)
+              else None)
+            (Graph.neighbors g u)
+        in
+        total := !total + List.length expected;
+        Alcotest.(check (list (triple int int (float 0.0))))
+          (Printf.sprintf "row %d keeps neighbor order" u)
+          expected (row_of_view u)
+      done;
+      Alcotest.(check int) "half-edge count" !total
+        view.Sparse.View.row_start.(csr.Sparse.nodes))
+    [ (fun _ -> true); (fun id -> id mod 3 <> 1); (fun id -> id = m - 1);
+      (fun _ -> false) ]
+
 (* max_flow_without_edge must agree exactly with a from-scratch solve,
    on both its fast path (removed edge idle) and its fallback. *)
 let qcheck_incremental_flow_matches_scratch =
@@ -355,6 +466,9 @@ let suite =
     Alcotest.test_case "fold over edges" `Quick test_fold_edges;
     Alcotest.test_case "heap sorted pops" `Quick test_heap_sorted_pops;
     QCheck_alcotest.to_alcotest qcheck_heap_property;
+    QCheck_alcotest.to_alcotest qcheck_int_heap_matches_heap;
+    Alcotest.test_case "residual search allocates nothing" `Quick
+      test_residual_search_allocates_nothing;
     Alcotest.test_case "dijkstra diamond" `Quick test_dijkstra_diamond;
     Alcotest.test_case "shortest path structure" `Quick test_shortest_path_structure;
     Alcotest.test_case "shortest path enabled mask" `Quick test_shortest_path_respects_enabled;
@@ -376,6 +490,8 @@ let suite =
       test_sparse_matches_neighbors;
     Alcotest.test_case "sparse memo keyed on version" `Quick
       test_sparse_memoized_and_invalidated;
+    Alcotest.test_case "restricted view keeps half-edge order" `Quick
+      test_sparse_view_keeps_order;
     QCheck_alcotest.to_alcotest qcheck_incremental_flow_matches_scratch;
     QCheck_alcotest.to_alcotest qcheck_edge_flow_conserves;
   ]

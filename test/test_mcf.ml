@@ -284,6 +284,419 @@ let qcheck_toggle_add_superset =
       in
       superset && capacity_ok)
 
+(* --- Identity with the full-CSR kernel ----------------------------------- *)
+
+(* The router as it was before it routed over a restricted view: every
+   Dijkstra scans the full CSR, gates on residual, and allocates fresh
+   arrays and a polymorphic [Heap].  The router must match it bit for
+   bit. *)
+module Reference = struct
+  module Sparse = Poc_graph.Sparse
+  module Heap = Poc_graph.Heap
+
+  let eps = 1e-6
+  let max_paths_per_demand = 64
+
+  let residual_dijkstra ~(csr : Sparse.t) ~(buf : Sparse.Buf.buf) ~alpha n src
+      dst =
+    let row = csr.Sparse.row_start in
+    let col = csr.Sparse.col in
+    let eids = csr.Sparse.eid in
+    let lat = csr.Sparse.weight in
+    let cap = csr.Sparse.capacity in
+    let residual = buf.Sparse.Buf.residual in
+    let usage = buf.Sparse.Buf.usage in
+    let dist = Array.make n infinity in
+    let pred = Array.make n (-1) in
+    let settled = Array.make n false in
+    let heap = Heap.create () in
+    dist.(src) <- 0.0;
+    Heap.push heap 0.0 src;
+    let rec loop () =
+      match Heap.pop heap with
+      | None -> ()
+      | Some (_, _) when settled.(dst) -> ()
+      | Some (d, u) ->
+        if not settled.(u) then begin
+          settled.(u) <- true;
+          for k = row.{u} to row.{u + 1} - 1 do
+            let v = col.{k} in
+            let eid = eids.{k} in
+            if (not settled.(v)) && residual.{eid} > eps then begin
+              let c = cap.{eid} in
+              let util = if c > 0.0 then usage.{eid} /. c else 0.0 in
+              let nd = d +. (lat.{k} *. (1.0 +. (alpha *. util))) in
+              if nd < dist.(v) then begin
+                dist.(v) <- nd;
+                pred.(v) <- eid;
+                Heap.push heap nd v
+              end
+            end
+          done
+        end;
+        loop ()
+    in
+    loop ();
+    if dist.(dst) = infinity then None else Some pred
+
+  let path_from_pred g pred src dst =
+    let rec walk node acc =
+      if node = src then acc
+      else
+        let eid = pred.(node) in
+        walk (Graph.other_endpoint (Graph.edge g eid) node) (eid :: acc)
+    in
+    walk dst []
+
+  let route_one g ~csr ~(buf : Sparse.Buf.buf) ~alpha (src, dst, gbps) =
+    let n = Graph.node_count g in
+    let residual = buf.Sparse.Buf.residual in
+    let usage = buf.Sparse.Buf.usage in
+    let chunks = ref [] in
+    let rec go remaining attempts =
+      if remaining <= eps then 0.0
+      else if attempts >= max_paths_per_demand then remaining
+      else
+        match residual_dijkstra ~csr ~buf ~alpha n src dst with
+        | None -> remaining
+        | Some pred ->
+          let path = path_from_pred g pred src dst in
+          let bottleneck =
+            List.fold_left
+              (fun acc eid -> Float.min acc residual.{eid})
+              infinity path
+          in
+          if bottleneck <= eps then remaining
+          else begin
+            let send = Float.min remaining bottleneck in
+            List.iter
+              (fun eid ->
+                residual.{eid} <- residual.{eid} -. send;
+                usage.{eid} <- usage.{eid} +. send)
+              path;
+            chunks :=
+              { Router.src; dst; gbps = send; edge_ids = path } :: !chunks;
+            go (remaining -. send) (attempts + 1)
+          end
+    in
+    let leftover = go gbps 0 in
+    (List.rev !chunks, leftover)
+
+  let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
+    let m = Graph.edge_count g in
+    let csr = Sparse.build g in
+    let buf = Sparse.Buf.create m in
+    let enabled_capacity = ref 0.0 in
+    for id = 0 to m - 1 do
+      if enabled id then begin
+        let c = csr.Sparse.capacity.{id} in
+        buf.Sparse.Buf.residual.{id} <- c;
+        enabled_capacity := !enabled_capacity +. c
+      end
+    done;
+    let sorted = List.sort (fun (_, _, a) (_, _, b) -> compare b a) demands in
+    let all_chunks = ref [] in
+    let unrouted = ref [] in
+    List.iter
+      (fun ((src, dst, _) as demand) ->
+        let chunks, leftover =
+          route_one g ~csr ~buf ~alpha:congestion_alpha demand
+        in
+        all_chunks := List.rev_append chunks !all_chunks;
+        if leftover > eps then unrouted := (src, dst, leftover) :: !unrouted)
+      sorted;
+    {
+      Router.feasible = !unrouted = [];
+      chunks = Array.of_list (List.rev !all_chunks);
+      unrouted = List.rev !unrouted;
+      usage = Sparse.Buf.usage_to_array buf;
+      enabled_capacity = !enabled_capacity;
+    }
+
+  let reroute_without_edge ?(enabled = fun _ -> true) g ~(base : Router.routing)
+      ~failed_edge =
+    let csr = Sparse.build g in
+    let failed_capacity = (Graph.edge g failed_edge).capacity in
+    if base.usage.(failed_edge) <= eps then
+      Some
+        {
+          base with
+          enabled_capacity = base.enabled_capacity -. failed_capacity;
+        }
+    else begin
+      let m = Graph.edge_count g in
+      let buf = Sparse.Buf.create m in
+      let residual = buf.Sparse.Buf.residual in
+      let usage = buf.Sparse.Buf.usage in
+      for id = 0 to m - 1 do
+        if enabled id && id <> failed_edge then begin
+          residual.{id} <- csr.Sparse.capacity.{id} -. base.usage.(id);
+          usage.{id} <- base.usage.(id)
+        end
+      done;
+      let affected = Hashtbl.create 16 in
+      let kept = ref [] in
+      Array.iter
+        (fun (c : Router.chunk) ->
+          if List.mem failed_edge c.edge_ids then begin
+            List.iter
+              (fun eid ->
+                if eid <> failed_edge then begin
+                  residual.{eid} <- residual.{eid} +. c.gbps;
+                  usage.{eid} <- usage.{eid} -. c.gbps
+                end)
+              c.edge_ids;
+            let key = (c.src, c.dst) in
+            let prev =
+              Option.value ~default:0.0 (Hashtbl.find_opt affected key)
+            in
+            Hashtbl.replace affected key (prev +. c.gbps)
+          end
+          else kept := c :: !kept)
+        base.chunks;
+      let new_chunks = ref [] in
+      let ok = ref true in
+      Hashtbl.iter
+        (fun (src, dst) gbps ->
+          if !ok then begin
+            let chunks, leftover =
+              route_one g ~csr ~buf ~alpha:1.0 (src, dst, gbps)
+            in
+            new_chunks := List.rev_append chunks !new_chunks;
+            if leftover > eps then ok := false
+          end)
+        affected;
+      if not !ok then None
+      else
+        Some
+          {
+            Router.feasible = true;
+            chunks = Array.of_list (List.rev_append !kept !new_chunks);
+            unrouted = [];
+            usage = Sparse.Buf.usage_to_array buf;
+            enabled_capacity = base.enabled_capacity -. failed_capacity;
+          }
+    end
+
+  let route_toggle ?(enabled = fun _ -> true) g ~demands
+      ~(base : Router.routing) = function
+    | Router.Remove eid -> (
+      let repaired =
+        if base.feasible then
+          reroute_without_edge ~enabled g ~base ~failed_edge:eid
+        else None
+      in
+      match repaired with
+      | Some r -> r
+      | None -> route ~enabled:(fun id -> enabled id && id <> eid) g ~demands)
+    | Router.Add eid ->
+      if base.feasible then
+        {
+          base with
+          enabled_capacity =
+            base.enabled_capacity +. (Graph.edge g eid).capacity;
+        }
+      else route ~enabled:(fun id -> enabled id || id = eid) g ~demands
+
+  let survives_all_single_failures ?(enabled = fun _ -> true) g base =
+    List.for_all
+      (fun failed_edge ->
+        reroute_without_edge ~enabled g ~base ~failed_edge <> None)
+      (Router.used_edges base)
+end
+
+let bits = Int64.bits_of_float
+
+let same_routing (a : Router.routing) (b : Router.routing) =
+  let same_chunk (x : Router.chunk) (y : Router.chunk) =
+    x.src = y.src && x.dst = y.dst
+    && Int64.equal (bits x.gbps) (bits y.gbps)
+    && x.edge_ids = y.edge_ids
+  in
+  let same_demand (s, d, x) (s', d', y) =
+    s = s' && d = d' && Int64.equal (bits x) (bits y)
+  in
+  a.feasible = b.feasible
+  && Array.length a.chunks = Array.length b.chunks
+  && Array.for_all2 same_chunk a.chunks b.chunks
+  && List.length a.unrouted = List.length b.unrouted
+  && List.for_all2 same_demand a.unrouted b.unrouted
+  && Array.length a.usage = Array.length b.usage
+  && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) a.usage b.usage
+  && Int64.equal (bits a.enabled_capacity) (bits b.enabled_capacity)
+
+let same_option a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> same_routing a b
+  | _ -> false
+
+(* A multigraph that exercises every gate of the search: edges piled on
+   a few node pairs (parallel links), zero-capacity links, zero and
+   infinite latencies, small integer latencies (so equal distances, and
+   with them the heap's tie order, decide paths), a random enabled
+   mask, and demands that often exceed what the enabled links carry.
+   Even seeds draw denser graphs whose latencies are only 1, 2 or
+   infinite: there a search that pushed the nodes it reaches over an
+   infinite edge would reshape the heap and break ties differently. *)
+let random_multigraph seed =
+  let rng = Prng.create seed in
+  let ties = seed mod 2 = 0 in
+  let g = Graph.create () in
+  let n = 2 + Prng.int rng (if ties then 12 else 9) in
+  Graph.add_nodes g n;
+  let pairs =
+    Array.init (1 + Prng.int rng (2 * n)) (fun _ ->
+        let a = Prng.int rng n in
+        (a, (a + 1 + Prng.int rng (n - 1)) mod n))
+  in
+  for _ = 1 to 1 + Prng.int rng (if ties then 50 else 30) do
+    let a, b = Prng.pick rng pairs in
+    let weight =
+      if ties then
+        if Prng.int rng 10 < 4 then infinity
+        else float_of_int (1 + Prng.int rng 2)
+      else
+        match Prng.int rng 12 with
+        | 0 -> 0.0
+        | 1 -> infinity
+        | 2 | 3 | 4 | 5 | 6 | 7 -> float_of_int (1 + Prng.int rng 3)
+        | _ -> Prng.float_range rng 0.1 5.0
+    in
+    let capacity =
+      if Prng.int rng 5 = 0 then 0.0 else Prng.float_range rng 0.5 12.0
+    in
+    ignore (Graph.add_edge g a b ~weight ~capacity)
+  done;
+  let m = Graph.edge_count g in
+  let mask = Array.init m (fun _ -> Prng.int rng 4 <> 0) in
+  let demands =
+    List.init (Prng.int rng 8) (fun _ ->
+        let a = Prng.int rng n in
+        let b = (a + 1 + Prng.int rng (n - 1)) mod n in
+        let d =
+          if Prng.int rng 6 = 0 then 0.0 else Prng.float_range rng 0.0 9.0
+        in
+        (a, b, d))
+  in
+  (g, (fun id -> mask.(id)), demands)
+
+let qcheck_matches_reference =
+  QCheck.Test.make
+    ~name:"route / reroute / toggle match the full-CSR kernel bit for bit"
+    ~count:1000
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g, enabled, demands = random_multigraph seed in
+      let m = Graph.edge_count g in
+      let alpha = if seed mod 4 = 0 then 0.0 else 1.0 in
+      let base = Router.route ~enabled ~congestion_alpha:alpha g ~demands in
+      let ok =
+        ref
+          (same_routing base
+             (Reference.route ~enabled ~congestion_alpha:alpha g ~demands))
+      in
+      let all = Router.route g ~demands in
+      ok := !ok && same_routing all (Reference.route g ~demands);
+      for failed_edge = 0 to m - 1 do
+        ok :=
+          !ok
+          && same_option
+               (Router.reroute_without_edge ~enabled g ~base ~failed_edge)
+               (Reference.reroute_without_edge ~enabled g ~base ~failed_edge)
+          (* A base routed over another enabled set: the drained chunks
+             give capacity back to edges outside [enabled]. *)
+          && same_option
+               (Router.reroute_without_edge ~enabled g ~base:all ~failed_edge)
+               (Reference.reroute_without_edge ~enabled g ~base:all
+                  ~failed_edge);
+        let toggle =
+          if enabled failed_edge then Router.Remove failed_edge
+          else Router.Add failed_edge
+        in
+        ok :=
+          !ok
+          && same_routing
+               (Router.route_toggle ~enabled g ~demands ~base toggle)
+               (Reference.route_toggle ~enabled g ~demands ~base toggle)
+      done;
+      !ok)
+
+(* The router keeps one scratch per domain, sized to the last graph it
+   solved; alternating graphs of different sizes must resize it without
+   leaking state from one solve into the next, and pool workers each
+   keep their own. *)
+let test_scratch_reuse_across_graphs () =
+  let instances =
+    List.init 6 (fun i -> random_multigraph (4242 + (i * 7919)))
+  in
+  let sizes =
+    List.sort_uniq compare
+      (List.map
+         (fun (g, _, _) -> (Graph.node_count g, Graph.edge_count g))
+         instances)
+  in
+  Alcotest.(check bool) "graphs of several shapes" true (List.length sizes > 1);
+  for round = 1 to 3 do
+    List.iter
+      (fun (g, enabled, demands) ->
+        let r = Router.route ~enabled g ~demands in
+        if not (same_routing r (Reference.route ~enabled g ~demands)) then
+          Alcotest.failf "round %d: route differs from the reference" round;
+        List.iter
+          (fun failed_edge ->
+            if
+              not
+                (same_option
+                   (Router.reroute_without_edge ~enabled g ~base:r ~failed_edge)
+                   (Reference.reroute_without_edge ~enabled g ~base:r
+                      ~failed_edge))
+            then Alcotest.failf "round %d: reroute differs" round)
+          (Router.used_edges r))
+      instances
+  done;
+  Poc_util.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iteri
+        (fun i seed ->
+          let g, demands = random_instance seed in
+          let g', enabled', demands' = random_multigraph (seed + 1) in
+          let base = Router.route g ~demands in
+          let base' = Router.route ~enabled:enabled' g' ~demands:demands' in
+          let expected = Reference.survives_all_single_failures g base in
+          let expected' =
+            Reference.survives_all_single_failures ~enabled:enabled' g' base'
+          in
+          for _ = 1 to 2 do
+            if
+              Router.survives_all_single_failures ?pool g ~demands base
+              <> expected
+              || Router.survives_all_single_failures ~enabled:enabled' ?pool g'
+                   ~demands:demands' base'
+                 <> expected'
+            then Alcotest.failf "instance %d: pooled verdict differs" i
+          done)
+        (List.init 10 (fun i -> 500 + (i * 91))))
+
+(* An [enabled] predicate that routes on another graph nests a solve
+   inside a solve; the nested one must not disturb the outer one. *)
+let test_nested_solve () =
+  let g, enabled, demands = random_multigraph 99 in
+  let g', enabled', demands' = random_multigraph 1234 in
+  let inner = ref None in
+  let enabled_nesting id =
+    inner := Some (Router.route ~enabled:enabled' g' ~demands:demands');
+    enabled id
+  in
+  let r = Router.route ~enabled:enabled_nesting g ~demands in
+  Alcotest.(check bool) "outer solve unchanged" true
+    (same_routing r (Reference.route ~enabled g ~demands));
+  match !inner with
+  | None -> ()
+  | Some inner ->
+    Alcotest.(check bool) "inner solve unchanged" true
+      (same_routing inner
+         (Reference.route ~enabled:enabled' g' ~demands:demands'))
+
 let test_toggle_preconditions () =
   let g, e01, _, _ = chain_with_shortcut () in
   let base = Router.route g ~demands:[ (0, 2, 1.0) ] in
@@ -327,4 +740,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_chunks_are_real_paths;
     QCheck_alcotest.to_alcotest qcheck_toggle_remove_superset_and_valid;
     QCheck_alcotest.to_alcotest qcheck_toggle_add_superset;
+    QCheck_alcotest.to_alcotest qcheck_matches_reference;
+    Alcotest.test_case "scratch reuse across graphs and domains" `Quick
+      test_scratch_reuse_across_graphs;
+    Alcotest.test_case "nested solve keeps both answers" `Quick
+      test_nested_solve;
   ]
