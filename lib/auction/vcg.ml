@@ -743,7 +743,7 @@ let run ?select ?pool problem =
      both faster and far less noisy than re-deriving from scratch, since
      C(SL−α) then differs from C(SL) only by α's actual replacement
      cost.  A caller-provided selector (e.g. the exact optimizer in
-     tests) is honored verbatim. *)
+     tests) sees only the banned set, so [run] calls it once per BP. *)
   let without_selection base bp =
     Metrics.Counter.inc m_pivots;
     let mine = Hashtbl.create 16 in
@@ -798,6 +798,24 @@ let run ?select ?pool problem =
       let by_bp, _ = partition_by_owner table selection.selected in
       Hashtbl.fold (fun bp _ acc -> bp :: acc) by_bp []
     in
+    (* A caller's selector is deterministic in the banned set, so its
+       SL−α does not move with the current SL: derive it once per run
+       and read it back in later settle rounds.  The default path's
+       warm arm starts from the current SL and is recomputed each
+       round.  Written only on this domain, after the fan-out joins. *)
+    let pivots : (int, selection option) Hashtbl.t = Hashtbl.create 16 in
+    let pivot_results current =
+      let bps = winners current in
+      let derive =
+        pool_map_list pool (fun bp -> (bp, without_selection current bp))
+      in
+      match select with
+      | None -> derive bps
+      | Some _ ->
+        derive (List.filter (fun bp -> not (Hashtbl.mem pivots bp)) bps)
+        |> List.iter (fun (bp, s) -> Hashtbl.replace pivots bp s);
+        List.map (fun bp -> (bp, Hashtbl.find pivots bp)) bps
+    in
     (* Every SL−α is also acceptable for the unrestricted problem, so
        pivot exploration can stumble on a cheaper solution; adopt it and
        recompute (bounded — each adoption strictly lowers the cost). *)
@@ -807,11 +825,7 @@ let run ?select ?pool problem =
          the fan-out and results come back in that order, so the
          best-improvement fold below ties off exactly as it does
          serially. *)
-      let results =
-        pool_map_list pool
-          (fun bp -> (bp, without_selection current bp))
-          (winners current)
-      in
+      let results = pivot_results current in
       join_cache ();
       let best_improvement =
         List.fold_left

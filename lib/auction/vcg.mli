@@ -144,8 +144,11 @@ val run :
 (** Full mechanism: selection plus a Clarke-pivot payment per BP.
     With [?pool] the per-winner pivot recomputations fan out across
     the pool's domains; the outcome is identical to the serial run.
-    A caller-supplied [?select] is honored verbatim (wire the pool
-    into the closure yourself if you want both).
+    A caller-supplied [?select] must be deterministic in [?banned] and
+    the problem: [run] calls it once for the cold selection and at
+    most once per distinct banned BP, and reuses that SL−α in every
+    later settle round.  Wire the pool into the closure yourself if
+    you want both.
 
     Because the optimizer is heuristic, an SL−α computed for a pivot
     can come out cheaper than SL itself (it is also acceptable for the
